@@ -1,5 +1,5 @@
 # Development targets; CI runs build + vet + test-race + bench-smoke +
-# fuzz-smoke (see .github/workflows/ci.yml).
+# fuzz-smoke + perfbench-test (see .github/workflows/ci.yml).
 
 GO ?= go
 # VERSION is stamped into every binary via -ldflags (dmwd/dmwgw expose
@@ -25,7 +25,7 @@ SERVER_BENCHTIME ?= 3s
 # manually with `go test -fuzz <Target> <pkg>`.
 FUZZTIME ?= 3s
 
-.PHONY: all build bin vet test test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench bench-crypto bench-smoke bench-server bench-gateway allocs-gate fuzz-smoke ci
+.PHONY: all build bin vet test test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench bench-crypto bench-smoke bench-server bench-gateway allocs-gate fuzz-smoke perfbench-test ci
 
 all: build vet test
 
@@ -161,4 +161,10 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMultiExp -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME) ./internal/journal
 
-ci: build vet test-race e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke fuzz-smoke
+# perfbench-test vets and tests the repository benchmark (perfbench/),
+# which is its own Go module and so is not covered by `go test ./...`
+# at the root.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: build vet test-race e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke fuzz-smoke perfbench-test

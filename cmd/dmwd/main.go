@@ -106,7 +106,7 @@ func run() error {
 		dataDir   = flag.String("data-dir", "", "enable durable persistence: WAL + snapshots in this directory (empty = in-memory)")
 		fsync     = flag.String("fsync", "interval", "WAL fsync policy: always | interval | never")
 		fsyncInt  = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync interval")
-		snapEvery = flag.Int("snapshot-every", 1024, "WAL appends between snapshot compactions (-1 disables)")
+		snapEvery = flag.Int("snapshot-every", 1024, "minimum WAL appends between snapshot compactions; a compaction also waits until the WAL has grown by the previous snapshot's size (-1 disables)")
 
 		tenantsFile = flag.String("tenants", "", "per-tenant limits JSON (rate/burst/quota/weight); empty = single unlimited default tenant; see docs/TENANCY.md")
 

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,6 +34,32 @@ func Save(w io.Writer, params *group.Params, tr *protocol.Transcript) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(Envelope{Version: envelopeVersion, Params: params, Transcript: tr})
+}
+
+// SaveEncoded writes the same bytes as Save for a transcript already
+// encoded with json.Marshal, without decoding it: dmwd keeps recorded
+// transcripts in that form.
+func SaveEncoded(w io.Writer, params *group.Params, tr json.RawMessage) error {
+	if params == nil || len(tr) == 0 {
+		return errors.New("audit: nil params or transcript")
+	}
+	head, err := json.Marshal(Envelope{Version: envelopeVersion, Params: params})
+	if err != nil {
+		return fmt.Errorf("audit: encoding envelope: %w", err)
+	}
+	// Transcript is Envelope's last field: swap its null for the bytes.
+	if !bytes.HasSuffix(head, []byte(`"transcript":null}`)) {
+		return errors.New("audit: unexpected envelope layout")
+	}
+	head = head[:len(head)-len(`null}`)]
+	compact := append(append(head, tr...), '}')
+	var out bytes.Buffer
+	if err := json.Indent(&out, compact, "", "  "); err != nil {
+		return fmt.Errorf("audit: encoding envelope: %w", err)
+	}
+	out.WriteByte('\n')
+	_, err = w.Write(out.Bytes())
+	return err
 }
 
 // Load reads an envelope written by Save.

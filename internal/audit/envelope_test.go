@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -38,6 +39,29 @@ func TestSaveValidates(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Save(&buf, nil, nil); err == nil {
 		t.Error("Save(nil) succeeded")
+	}
+	if err := SaveEncoded(&buf, nil, nil); err == nil {
+		t.Error("SaveEncoded(nil) succeeded")
+	}
+}
+
+// TestSaveEncodedMatchesSave: an envelope written from the transcript's
+// JSON is byte-identical to one written from the transcript itself.
+func TestSaveEncodedMatchesSave(t *testing.T) {
+	res, _ := recordedRun(t, 29)
+	var want, got bytes.Buffer
+	if err := Save(&want, auditParams, res.Transcript); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := json.Marshal(res.Transcript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveEncoded(&got, auditParams, tr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("SaveEncoded wrote %d bytes that differ from Save's %d", got.Len(), want.Len())
 	}
 }
 

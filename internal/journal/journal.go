@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -93,9 +94,29 @@ type Stats struct {
 	Segments int
 	// Snapshots counts snapshot compactions taken since Open.
 	Snapshots uint64
-	// AppendsSinceSnapshot counts appends since the last compaction
-	// (or Open); dmwd uses it to drive -snapshot-every.
+	// AppendsSinceSnapshot counts appends since the last compaction.
+	// Open seeds it with the entries replayed from post-snapshot
+	// segments, so the count survives a restart.
 	AppendsSinceSnapshot uint64
+	// BytesSinceSnapshot counts frame bytes in segments written since
+	// the last compaction; Open seeds it from the replayed segments.
+	BytesSinceSnapshot uint64
+	// SnapshotBytes is the size of the newest snapshot (0 if none);
+	// Open seeds it from the snapshot it loaded.
+	SnapshotBytes uint64
+}
+
+// SnapshotDue reports whether a compaction is due under the
+// size-proportional rule: at least minAppends appends AND at least as
+// many WAL bytes as the newest snapshot holds since it was taken.
+// Because the live state a snapshot rewrites can grow by at most the
+// bytes appended since the previous one, snapshot sizes grow
+// geometrically and each appended byte is rewritten into a constant
+// number of snapshots: compaction costs amortized O(1) per appended
+// byte, and replay stays bounded by about twice the live state.
+// minAppends 0 disables compaction.
+func (s Stats) SnapshotDue(minAppends uint64) bool {
+	return minAppends > 0 && s.AppendsSinceSnapshot >= minAppends && s.BytesSinceSnapshot >= s.SnapshotBytes
 }
 
 // ErrClosed is returned by operations on a closed journal.
@@ -207,6 +228,7 @@ func (j *Journal) AppendBatch(entries []Entry) error {
 	j.stats.Bytes += uint64(len(buf))
 	j.stats.Appends += uint64(len(entries))
 	j.stats.AppendsSinceSnapshot += uint64(len(entries))
+	j.stats.BytesSinceSnapshot += uint64(len(buf))
 	switch j.opts.Sync {
 	case SyncAlways:
 		if err := j.syncLocked(); err != nil {
@@ -291,15 +313,24 @@ func (j *Journal) syncDir() error {
 }
 
 // Snapshot performs snapshot compaction: it atomically writes the full
-// state (the caller-provided entries), rotates to a fresh segment, and
-// deletes every segment and snapshot the new snapshot supersedes.
-// Recovery after a Snapshot replays exactly state + the new segments.
+// state, rotates to a fresh segment, and deletes every segment and
+// snapshot the new snapshot supersedes. Recovery after a Snapshot
+// replays exactly state + the new segments.
 //
-// The caller must guarantee that state reflects every entry appended so
-// far (dmwd serializes appends and snapshots behind one store mutex);
-// entries appended concurrently with Snapshot could otherwise land in a
-// deleted segment.
-func (j *Journal) Snapshot(state []Entry) error {
+// The state is streamed: emit is called once and must pass every state
+// entry, in replay order, to add, which frames it straight into the
+// snapshot file through one buffered writer — peak memory is one entry,
+// not a copy of the whole state. If emit (or add) fails, nothing is
+// published: the temp file is removed, the journal keeps appending to
+// its current segment, and recovery still replays the previous
+// snapshot plus every segment. emit runs with the journal's lock held
+// and must not call back into the journal.
+//
+// The caller must guarantee that the emitted state reflects every entry
+// appended so far (dmwd serializes appends and snapshots behind one
+// store mutex); entries appended concurrently with Snapshot could
+// otherwise land in a deleted segment.
+func (j *Journal) Snapshot(emit func(add func(Entry) error) error) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -310,12 +341,10 @@ func (j *Journal) Snapshot(state []Entry) error {
 
 	// 1. Write the snapshot to a temp file and rename it into place:
 	// a crash mid-write leaves only a *.tmp that recovery ignores.
-	var buf []byte
-	for _, e := range state {
-		buf = AppendFrame(buf, e)
-	}
 	tmp := filepath.Join(j.dir, "snap.tmp")
-	if err := writeFileSync(tmp, buf); err != nil {
+	entries, size, err := writeSnapshot(tmp, emit)
+	if err != nil {
+		_ = os.Remove(tmp) // best-effort: recovery removes any leftover *.tmp
 		return err
 	}
 	final := filepath.Join(j.dir, snapshotName(newSeq))
@@ -343,8 +372,48 @@ func (j *Journal) Snapshot(state []Entry) error {
 	j.stats.Segments = j.countSegmentsLocked()
 	j.stats.Snapshots++
 	j.stats.AppendsSinceSnapshot = 0
-	j.opts.Logf("journal: snapshot seq=%d (%d entries, %d bytes)", newSeq, len(state), len(buf))
+	j.stats.BytesSinceSnapshot = 0
+	j.stats.SnapshotBytes = uint64(size)
+	j.opts.Logf("journal: snapshot seq=%d (%d entries, %d bytes)", newSeq, entries, size)
 	return nil
+}
+
+// writeSnapshot streams emit's entries as frames into path through one
+// buffered writer, then flushes, fsyncs and closes it. It returns the
+// entry count and the bytes written.
+func writeSnapshot(path string, emit func(add func(Entry) error) error) (entries int, size int64, err error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return 0, 0, fmt.Errorf("journal: creating %s: %w", path, err)
+	}
+	defer f.Close() // error path only; the success path checks Close below
+	w := bufio.NewWriterSize(f, 256<<10)
+	var frame []byte
+	add := func(e Entry) error {
+		if 1+len(e.Data) > MaxFrameBytes {
+			return fmt.Errorf("journal: snapshot entry of %d bytes exceeds frame limit", len(e.Data))
+		}
+		frame = AppendFrame(frame[:0], e)
+		if _, err := w.Write(frame); err != nil {
+			return fmt.Errorf("journal: writing %s: %w", path, err)
+		}
+		entries++
+		size += int64(len(frame))
+		return nil
+	}
+	if err := emit(add); err != nil {
+		return 0, 0, err
+	}
+	if err := w.Flush(); err != nil {
+		return 0, 0, fmt.Errorf("journal: writing %s: %w", path, err)
+	}
+	if err := f.Sync(); err != nil {
+		return 0, 0, fmt.Errorf("journal: fsync %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return 0, 0, fmt.Errorf("journal: closing %s: %w", path, err)
+	}
+	return entries, size, nil
 }
 
 // removeSuperseded deletes segments with seq < keep and snapshots with
@@ -429,24 +498,4 @@ func (j *Journal) flushLoop() {
 			return
 		}
 	}
-}
-
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: creating %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: fsync %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: closing %s: %w", path, err)
-	}
-	return nil
 }

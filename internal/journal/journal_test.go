@@ -25,6 +25,27 @@ func openT(t *testing.T, dir string, mut func(*Options)) (*Journal, *Recovery) {
 
 func entry(kind byte, s string) Entry { return Entry{Kind: kind, Data: []byte(s)} }
 
+// emitAll is a Snapshot emit callback that streams a fixed state.
+func emitAll(state []Entry) func(func(Entry) error) error {
+	return func(add func(Entry) error) error {
+		for _, e := range state {
+			if err := add(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// frameBytes is the on-disk size of entries framed back to back.
+func frameBytes(entries ...Entry) uint64 {
+	var n uint64
+	for _, e := range entries {
+		n += uint64(len(EncodeFrame(e)))
+	}
+	return n
+}
+
 func wantEntries(t *testing.T, got, want []Entry) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -110,7 +131,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		}
 	}
 	state := []Entry{entry(7, "state-a"), entry(7, "state-b")}
-	if err := j.Snapshot(state); err != nil {
+	if err := j.Snapshot(emitAll(state)); err != nil {
 		t.Fatal(err)
 	}
 	if st := j.Stats(); st.Snapshots != 1 || st.AppendsSinceSnapshot != 0 {
@@ -336,4 +357,193 @@ func TestSnapshotCrashLeavesTmp(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "snap.tmp")); !os.IsNotExist(err) {
 		t.Error("leftover snap.tmp should have been removed")
 	}
+}
+
+// TestSnapshotDue pins the size-proportional trigger arithmetic: a
+// compaction needs both the append floor AND at least the newest
+// snapshot's size in WAL bytes since it was taken.
+func TestSnapshotDue(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		st         Stats
+		minAppends uint64
+		want       bool
+	}{
+		{"disabled", Stats{AppendsSinceSnapshot: 1 << 20, BytesSinceSnapshot: 1 << 30}, 0, false},
+		{"below append floor", Stats{AppendsSinceSnapshot: 9, BytesSinceSnapshot: 500}, 10, false},
+		{"no snapshot yet", Stats{AppendsSinceSnapshot: 10, BytesSinceSnapshot: 1}, 10, true},
+		{"bytes below snapshot size", Stats{AppendsSinceSnapshot: 5000, BytesSinceSnapshot: 999, SnapshotBytes: 1000}, 10, false},
+		{"bytes equal snapshot size", Stats{AppendsSinceSnapshot: 10, BytesSinceSnapshot: 1000, SnapshotBytes: 1000}, 10, true},
+		{"bytes above snapshot size", Stats{AppendsSinceSnapshot: 11, BytesSinceSnapshot: 4000, SnapshotBytes: 1000}, 10, true},
+	} {
+		if got := tc.st.SnapshotDue(tc.minAppends); got != tc.want {
+			t.Errorf("%s: SnapshotDue(%d) on %+v = %v, want %v", tc.name, tc.minAppends, tc.st, got, tc.want)
+		}
+	}
+}
+
+// TestSnapshotByteCounters checks the counters the trigger reads: WAL
+// bytes accumulate per append and reset at a snapshot, whose own size
+// is recorded exactly as written to disk.
+func TestSnapshotByteCounters(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir, nil)
+	defer j.Close()
+	pre := []Entry{entry(1, "one"), entry(1, "two"), entry(1, "three")}
+	for _, e := range pre {
+		if err := j.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := j.Stats(); st.BytesSinceSnapshot != frameBytes(pre...) || st.SnapshotBytes != 0 {
+		t.Fatalf("before snapshot: %+v, want %d bytes since and no snapshot", st, frameBytes(pre...))
+	}
+	state := []Entry{entry(7, "state-a"), entry(7, "state-bb")}
+	if err := j.Snapshot(emitAll(state)); err != nil {
+		t.Fatal(err)
+	}
+	st := j.Stats()
+	if st.SnapshotBytes != frameBytes(state...) || st.BytesSinceSnapshot != 0 || st.AppendsSinceSnapshot != 0 {
+		t.Fatalf("after snapshot: %+v, want snapshot of %d bytes and zeroed counters", st, frameBytes(state...))
+	}
+	fi, err := os.Stat(filepath.Join(dir, snapshotName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(fi.Size()) != st.SnapshotBytes {
+		t.Fatalf("snapshot file is %d bytes, SnapshotBytes = %d", fi.Size(), st.SnapshotBytes)
+	}
+	if err := j.Append(entry(1, "post")); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.BytesSinceSnapshot != frameBytes(entry(1, "post")) {
+		t.Fatalf("after post append: %+v", st)
+	}
+}
+
+// TestOpenSeedsCompactionCounters: a restarted journal resumes the
+// proportional schedule — SnapshotBytes comes from the loaded snapshot
+// and the since-snapshot counters from the replayed segments (only
+// their good prefix when a torn tail is truncated).
+func TestOpenSeedsCompactionCounters(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir, func(o *Options) { o.SegmentBytes = 64 })
+	if err := j.Append(entry(1, "pre")); err != nil {
+		t.Fatal(err)
+	}
+	state := []Entry{entry(7, "state-a"), entry(7, "state-b"), entry(7, "state-c")}
+	if err := j.Snapshot(emitAll(state)); err != nil {
+		t.Fatal(err)
+	}
+	var post []Entry
+	for i := 0; i < 12; i++ { // spans several 64-byte segments
+		e := entry(1, fmt.Sprintf("post-%02d", i))
+		post = append(post, e)
+		if err := j.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := j.Stats()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, _ := openT(t, dir, nil)
+	got := j2.Stats()
+	if got.SnapshotBytes != want.SnapshotBytes || got.BytesSinceSnapshot != want.BytesSinceSnapshot ||
+		got.AppendsSinceSnapshot != want.AppendsSinceSnapshot {
+		t.Fatalf("reopened counters = %+v, want those at close: %+v", got, want)
+	}
+	if got.SnapshotBytes != frameBytes(state...) || got.BytesSinceSnapshot != frameBytes(post...) ||
+		got.AppendsSinceSnapshot != uint64(len(post)) {
+		t.Fatalf("reopened counters = %+v, want snapshot %d B, %d B / %d appends since",
+			got, frameBytes(state...), frameBytes(post...), len(post))
+	}
+	if err := j2.Append(entry(1, "torn-away")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _, _, err := scanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := filepath.Join(dir, segmentName(segs[len(segs)-1]))
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(last, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	j3, rec := openT(t, dir, nil)
+	defer j3.Close()
+	if !rec.TailTruncated {
+		t.Fatal("want a truncated tail")
+	}
+	if st := j3.Stats(); st.BytesSinceSnapshot != frameBytes(post...) || st.AppendsSinceSnapshot != uint64(len(post)) {
+		t.Fatalf("after torn tail: %+v, want only the good prefix counted (%d B, %d appends)",
+			st, frameBytes(post...), len(post))
+	}
+}
+
+// TestSnapshotEmitFailurePublishesNothing: a streamed snapshot whose
+// emit fails partway leaves no snapshot behind; the journal keeps
+// appending to its segment and recovery replays the previous snapshot
+// plus every segment.
+func TestSnapshotEmitFailurePublishesNothing(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir, nil)
+	if err := j.Append(entry(1, "pre")); err != nil {
+		t.Fatal(err)
+	}
+	old := []Entry{entry(7, "old-a"), entry(7, "old-b")}
+	if err := j.Snapshot(emitAll(old)); err != nil {
+		t.Fatal(err)
+	}
+	mid := []Entry{entry(1, "mid-0"), entry(1, "mid-1")}
+	for _, e := range mid {
+		if err := j.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := j.Stats()
+
+	boom := errors.New("encode failed")
+	err := j.Snapshot(func(add func(Entry) error) error {
+		if err := add(entry(7, "new-a")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Snapshot = %v, want the emit error", err)
+	}
+	if after := j.Stats(); after != before {
+		t.Fatalf("failed snapshot changed stats: %+v -> %+v", before, after)
+	}
+	_, snaps, tmps, err := scanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 || snaps[0] != 1 || len(tmps) != 0 {
+		t.Fatalf("after failed snapshot: snapshots %v, temp files %v; want only snapshot 1", snaps, tmps)
+	}
+
+	// An oversized entry is refused before it reaches the file.
+	if err := j.Snapshot(emitAll([]Entry{{Kind: 7, Data: make([]byte, MaxFrameBytes)}})); err == nil {
+		t.Fatal("oversized snapshot entry should fail")
+	}
+
+	post := entry(1, "post")
+	if err := j.Append(post); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, rec := openT(t, dir, nil)
+	defer j2.Close()
+	wantEntries(t, rec.Entries, append(append(append([]Entry{}, old...), mid...), post))
 }

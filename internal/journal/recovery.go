@@ -53,6 +53,11 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 //     frame, and recovery continues. The same failure anywhere else is
 //     real corruption and fails recovery.
 //   - Leftover snap.tmp files (crash mid-snapshot) are deleted.
+//
+// It also seeds the compaction counters — SnapshotBytes from the loaded
+// snapshot, BytesSinceSnapshot and AppendsSinceSnapshot from the
+// replayed segments — so a restarted journal keeps the
+// size-proportional schedule.
 func (j *Journal) recover() (*Recovery, error) {
 	segs, snaps, tmps, err := scanDir(j.dir)
 	if err != nil {
@@ -81,6 +86,7 @@ func (j *Journal) recover() (*Recovery, error) {
 		rec.Entries = append(rec.Entries, entries...)
 		rec.Recovered = true
 		startSeq = snapSeq
+		j.stats.SnapshotBytes = uint64(len(raw))
 		j.opts.Logf("journal: loaded snapshot seq=%d (%d entries)", snapSeq, len(entries))
 	}
 
@@ -95,10 +101,12 @@ func (j *Journal) recover() (*Recovery, error) {
 		if i > 0 && s != replay[i-1]+1 {
 			return nil, fmt.Errorf("journal: segment gap: %d follows %d", s, replay[i-1])
 		}
-		entries, truncated, err := j.replaySegment(s, i == len(replay)-1)
+		entries, good, truncated, err := j.replaySegment(s, i == len(replay)-1)
 		if err != nil {
 			return nil, err
 		}
+		j.stats.AppendsSinceSnapshot += uint64(len(entries))
+		j.stats.BytesSinceSnapshot += uint64(good)
 		if len(entries) > 0 {
 			rec.Recovered = true
 			rec.Entries = append(rec.Entries, entries...)
@@ -122,33 +130,34 @@ func (j *Journal) recover() (*Recovery, error) {
 	return rec, nil
 }
 
-// replaySegment reads one segment's frames. When isLast and the stream
-// ends in a torn/corrupt record, the file is truncated at the last good
-// frame and the good prefix is returned with truncated=true; otherwise
-// any decode error is fatal.
-func (j *Journal) replaySegment(seq uint64, isLast bool) (entries []Entry, truncated bool, err error) {
+// replaySegment reads one segment's frames and returns them with the
+// byte length of the good prefix. When isLast and the stream ends in a
+// torn/corrupt record, the file is truncated at the last good frame and
+// the good prefix is returned with truncated=true; otherwise any decode
+// error is fatal.
+func (j *Journal) replaySegment(seq uint64, isLast bool) (entries []Entry, good int, truncated bool, err error) {
 	path := filepath.Join(j.dir, segmentName(seq))
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, false, fmt.Errorf("journal: reading segment %s: %w", path, err)
+		return nil, 0, false, fmt.Errorf("journal: reading segment %s: %w", path, err)
 	}
 	off := 0
 	for off < len(raw) {
 		e, n, derr := DecodeFrame(raw[off:])
 		if derr != nil {
 			if !isLast {
-				return nil, false, fmt.Errorf("journal: segment %s is corrupt at offset %d (%v) and is not the log tail; see docs/DURABILITY.md for the recovery runbook", path, off, derr)
+				return nil, 0, false, fmt.Errorf("journal: segment %s is corrupt at offset %d (%v) and is not the log tail; see docs/DURABILITY.md for the recovery runbook", path, off, derr)
 			}
 			j.opts.Logf("journal: WARNING: torn/corrupt record at tail of %s offset %d (%v); truncating %d bytes and continuing",
 				path, off, derr, len(raw)-off)
 			if terr := os.Truncate(path, int64(off)); terr != nil {
-				return nil, false, fmt.Errorf("journal: truncating torn tail of %s: %w", path, terr)
+				return nil, 0, false, fmt.Errorf("journal: truncating torn tail of %s: %w", path, terr)
 			}
-			return entries, true, nil
+			return entries, off, true, nil
 		}
 		e.Data = append([]byte(nil), e.Data...)
 		entries = append(entries, e)
 		off += n
 	}
-	return entries, false, nil
+	return entries, off, false, nil
 }

@@ -39,7 +39,7 @@ func (s *Server) terminalRecord(j *Job) (replica.Record, bool) {
 	if !r.State.Terminal() || r.State == StateRejected {
 		return replica.Record{}, false
 	}
-	payload, err := json.Marshal(r)
+	payload, err := marshalRecord(r)
 	if err != nil {
 		s.cfg.Logf("replica: encoding record %s: %v", r.ID, err)
 		return replica.Record{}, false

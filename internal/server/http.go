@@ -306,7 +306,7 @@ func (s *Server) handleTranscript(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, apiError{Error: "job not finished; poll GET /v1/jobs/{id} first"})
 		return
 	}
-	tr := job.Transcript()
+	tr := job.transcriptJSON()
 	if tr == nil {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "no transcript captured; submit the job with \"record\": true"})
 		return
@@ -314,7 +314,7 @@ func (s *Server) handleTranscript(w http.ResponseWriter, r *http.Request) {
 	// The envelope matches dmwaudit's on-disk format: pipe it straight
 	// to a file and verify offline.
 	w.Header().Set("Content-Type", "application/json")
-	if err := audit.Save(w, s.params, tr); err != nil {
+	if err := audit.SaveEncoded(w, s.params, tr); err != nil {
 		// Headers are already out; best effort.
 		s.cfg.Logf("job %s: writing transcript: %v", job.ID, err)
 	}

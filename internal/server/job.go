@@ -3,6 +3,7 @@ package server
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -300,7 +301,7 @@ type Job struct {
 	state      JobState
 	errMsg     string
 	result     *JobResult
-	transcript *protocol.Transcript
+	transcript json.RawMessage // the *protocol.Transcript as JSON
 	spans      []obs.Span
 	events     []tenant.Event
 	submitted  time.Time
@@ -308,6 +309,8 @@ type Job struct {
 	finished   time.Time
 	expires    time.Time
 	done       chan struct{}
+
+	admitSeq uint64 // memStore admission order; guarded by memStore.mu
 }
 
 func newJob(spec JobSpec, bids [][]int, now time.Time) (*Job, error) {
@@ -396,9 +399,9 @@ func (j *Job) Result() *JobResult {
 	return j.result
 }
 
-// Transcript returns the captured transcript (nil unless the spec set
-// record and the job completed).
-func (j *Job) Transcript() *protocol.Transcript {
+// transcriptJSON returns the captured transcript as JSON (nil unless
+// the spec set record and the job completed).
+func (j *Job) transcriptJSON() json.RawMessage {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {
@@ -451,13 +454,6 @@ func (j *Job) Events() []tenant.Event {
 	return out
 }
 
-// startedAt returns the running-transition timestamp.
-func (j *Job) startedAt() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.started
-}
-
 // finishedRecord snapshots the terminal transition for journaling.
 func (j *Job) finishedRecord() finishedRecord {
 	j.mu.Lock()
@@ -468,6 +464,7 @@ func (j *Job) finishedRecord() finishedRecord {
 		Result:     j.result,
 		Transcript: j.transcript,
 		Error:      j.errMsg,
+		Started:    j.started,
 		Finished:   j.finished,
 		Expires:    j.expires,
 	}
@@ -480,7 +477,7 @@ func (j *Job) setRunning(now time.Time) {
 	j.started = now
 }
 
-func (j *Job) finish(state JobState, res *JobResult, tr *protocol.Transcript, errMsg string, now time.Time, ttl time.Duration) {
+func (j *Job) finish(state JobState, res *JobResult, tr json.RawMessage, errMsg string, now time.Time, ttl time.Duration) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -563,7 +560,7 @@ func (j *Job) View() JobView {
 		Tenant:        j.Spec.Tenant,
 		SubmittedAt:   j.submitted.UTC().Format(time.RFC3339Nano),
 		Result:        j.result,
-		HasTranscript: j.transcript != nil,
+		HasTranscript: len(j.transcript) > 0,
 		HasTrace:      len(j.spans) > 0,
 	}
 	if len(j.bids) > 0 {

@@ -23,8 +23,8 @@ type journalStore struct {
 	mem *memStore
 	j   *journal.Journal
 
-	// snapshotEvery triggers compaction after this many appends
-	// (0 disables automatic compaction).
+	// snapshotEvery is the append floor of the compaction trigger
+	// (see journal.Stats.SnapshotDue; 0 disables automatic compaction).
 	snapshotEvery uint64
 	logf          func(format string, args ...any)
 }
@@ -140,23 +140,12 @@ func (s *journalStore) Len() int                                  { return s.mem
 // TTL deadline has already passed.
 func (s *journalStore) Sweep(now time.Time) int { return s.mem.Sweep(now) }
 
-// Started / Finished append lifecycle records. Best-effort: the job is
-// already durable as queued, so a failed append degrades to "re-run on
-// recovery" (Started) or "result recomputed on recovery" (Finished) —
-// both safe because runs are deterministic in spec and seed.
-func (s *journalStore) Started(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, err := encodeRecord(recKindStarted, startedRecord{ID: j.ID, Started: j.startedAt()})
-	if err == nil {
-		err = s.j.Append(e)
-	}
-	if err != nil && err != journal.ErrClosed {
-		s.logf("journal: started record for %s: %v", j.ID, err)
-	}
-	s.maybeCompactLocked()
-}
-
+// Finished appends the terminal record, which also carries the job's
+// started time. There is no running record: recovery turns every
+// non-terminal job back into queued, so one would have no durable
+// effect. Best-effort: the job is already durable as queued, so a
+// failed append degrades to "result recomputed on recovery" — safe
+// because runs are deterministic in spec and seed.
 func (s *journalStore) Finished(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -172,15 +161,16 @@ func (s *journalStore) Finished(j *Job) {
 }
 
 // maybeCompactLocked snapshots the full live state and truncates
-// superseded segments once enough appends have accumulated. It runs
-// synchronously on the appending goroutine (worker or submitter):
-// snapshots are small (the live job set) and running under s.mu keeps
-// the log/snapshot ordering trivially consistent.
+// superseded segments once journal.Stats.SnapshotDue says so: at least
+// snapshotEvery appends and at least the previous snapshot's size in
+// WAL bytes since it. The second condition makes snapshot sizes grow
+// geometrically, so compaction costs amortized O(1) per appended byte
+// however large the retained job set (transcripts included) grows. It
+// runs synchronously on the appending goroutine (worker or submitter);
+// running under s.mu keeps the log/snapshot ordering trivially
+// consistent.
 func (s *journalStore) maybeCompactLocked() {
-	if s.snapshotEvery == 0 {
-		return
-	}
-	if s.j.Stats().AppendsSinceSnapshot < s.snapshotEvery {
+	if !s.j.Stats().SnapshotDue(s.snapshotEvery) {
 		return
 	}
 	if err := s.compactLocked(); err != nil && err != journal.ErrClosed {
@@ -196,18 +186,29 @@ func (s *journalStore) compactNow() error {
 	return s.compactLocked()
 }
 
-// compactLocked writes a full-state snapshot now. Caller holds s.mu.
+// compactLocked writes a full-state snapshot now, streaming one job
+// record at a time into the snapshot file. Jobs go out in submission
+// order, so recovery (which keeps first-appearance order) re-enqueues
+// queued jobs in the order they were admitted; jobs already past their
+// TTL deadline are left out. Caller holds s.mu.
 func (s *journalStore) compactLocked() error {
 	jobs := s.mem.snapshotJobs()
-	entries := make([]journal.Entry, 0, len(jobs))
-	for _, job := range jobs {
-		e, err := encodeRecord(recKindJob, job.record())
-		if err != nil {
-			return err
+	now := time.Now()
+	return s.j.Snapshot(func(add func(journal.Entry) error) error {
+		for _, job := range jobs {
+			if job.expired(now) {
+				continue
+			}
+			e, err := encodeRecord(recKindJob, job.record())
+			if err != nil {
+				return err
+			}
+			if err := add(e); err != nil {
+				return err
+			}
 		}
-		entries = append(entries, e)
-	}
-	return s.j.Snapshot(entries)
+		return nil
+	})
 }
 
 // Close takes a final snapshot (so the next start replays one compact

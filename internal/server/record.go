@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	protocol "dmw/internal/dmw"
 	"dmw/internal/journal"
 )
 
@@ -14,9 +13,14 @@ import (
 //
 //	recKindJob      full job record — admission (state queued or
 //	                rejected) and every snapshot entry
-//	recKindStarted  queued -> running transition {id, started}
+//	recKindStarted  legacy, read-only: queued -> running transition
+//	                {id, started}. No longer written — recovery turns
+//	                a non-terminal job back into queued anyway, and the
+//	                started time of a terminal job rides its finished
+//	                record — but still replayed so older data
+//	                directories recover.
 //	recKindFinished terminal transition {id, state, result, error,
-//	                finished, expires}
+//	                started, finished, expires}
 //
 // The admission append for a job always precedes its lifecycle appends
 // (Submit journals before the job reaches the worker queue), but
@@ -44,8 +48,8 @@ type jobRecord struct {
 	State JobState `json:"state"`
 	Error string   `json:"error,omitempty"`
 
-	Result     *JobResult           `json:"result,omitempty"`
-	Transcript *protocol.Transcript `json:"transcript,omitempty"`
+	Result     *JobResult      `json:"result,omitempty"`
+	Transcript json.RawMessage `json:"transcript,omitempty"`
 
 	Submitted time.Time `json:"submitted"`
 	Started   time.Time `json:"started,omitempty"`
@@ -53,7 +57,7 @@ type jobRecord struct {
 	Expires   time.Time `json:"expires,omitempty"`
 }
 
-// startedRecord journals a queued -> running transition.
+// startedRecord is the legacy queued -> running record (replay only).
 type startedRecord struct {
 	ID      string    `json:"id"`
 	Started time.Time `json:"started"`
@@ -61,13 +65,14 @@ type startedRecord struct {
 
 // finishedRecord journals a terminal transition.
 type finishedRecord struct {
-	ID         string               `json:"id"`
-	State      JobState             `json:"state"`
-	Result     *JobResult           `json:"result,omitempty"`
-	Transcript *protocol.Transcript `json:"transcript,omitempty"`
-	Error      string               `json:"error,omitempty"`
-	Finished   time.Time            `json:"finished"`
-	Expires    time.Time            `json:"expires"`
+	ID         string          `json:"id"`
+	State      JobState        `json:"state"`
+	Result     *JobResult      `json:"result,omitempty"`
+	Transcript json.RawMessage `json:"transcript,omitempty"`
+	Error      string          `json:"error,omitempty"`
+	Started    time.Time       `json:"started,omitempty"`
+	Finished   time.Time       `json:"finished"`
+	Expires    time.Time       `json:"expires"`
 }
 
 // record snapshots the job into its durable form.
@@ -134,17 +139,46 @@ func (r *jobRecord) applyFinished(fr finishedRecord) {
 	r.Result = fr.Result
 	r.Transcript = fr.Transcript
 	r.Error = fr.Error
+	if !fr.Started.IsZero() { // zero in records written before it rode here
+		r.Started = fr.Started
+	}
 	r.Finished = fr.Finished
 	r.Expires = fr.Expires
 }
 
 // encodeRecord marshals v into a journal entry of the given kind.
 func encodeRecord(kind byte, v any) (journal.Entry, error) {
-	data, err := json.Marshal(v)
+	data, err := marshalRecord(v)
 	if err != nil {
 		return journal.Entry{}, fmt.Errorf("server: encoding journal record: %w", err)
 	}
 	return journal.Entry{Kind: kind, Data: data}, nil
+}
+
+// marshalRecord is json.Marshal, except that the transcript of a job or
+// finished record — already JSON, and most of a recorded job's bytes —
+// is spliced in verbatim: json.Marshal would re-validate it byte by
+// byte, which costs an order of magnitude more than encoding the rest
+// of the record, and snapshot compaction re-encodes every retained job
+// while appends wait.
+func marshalRecord(v any) ([]byte, error) {
+	var tr json.RawMessage
+	switch r := v.(type) {
+	case jobRecord:
+		tr, r.Transcript = r.Transcript, nil
+		v = r
+	case finishedRecord:
+		tr, r.Transcript = r.Transcript, nil
+		v = r
+	}
+	data, err := json.Marshal(v)
+	if err != nil || len(tr) == 0 {
+		return data, err
+	}
+	// data is a JSON object with at least an id: reopen it.
+	data = append(data[:len(data)-1], `,"transcript":`...)
+	data = append(data, tr...)
+	return append(data, '}'), nil
 }
 
 // replayEntries folds a recovery's entry stream into the final

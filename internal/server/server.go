@@ -20,6 +20,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -109,7 +110,7 @@ type Config struct {
 	// nil discards them.
 	Logger *slog.Logger
 
-	// DataDir enables durable persistence: every job lifecycle
+	// DataDir enables durable persistence: every admission and terminal
 	// transition is written through a CRC-framed WAL (internal/journal)
 	// before it becomes visible, and New replays the journal so a
 	// restart loses no accepted job. Empty (the default) keeps the
@@ -123,10 +124,13 @@ type Config struct {
 	// FsyncInterval is the flush period under the interval policy
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// SnapshotEvery compacts the WAL (full-state snapshot + truncation
-	// of superseded segments) after this many appends. Default 1024;
-	// negative disables automatic compaction (a final snapshot is still
-	// taken on shutdown).
+	// SnapshotEvery is the append floor of WAL compaction (full-state
+	// snapshot + truncation of superseded segments): a snapshot is taken
+	// once at least this many appends AND at least the previous
+	// snapshot's size in WAL bytes have accumulated since it (see
+	// journal.Stats.SnapshotDue). Default 1024; negative disables
+	// automatic compaction (a final snapshot is still taken on
+	// shutdown).
 	SnapshotEvery int
 	// SegmentBytes caps a WAL segment before rotation (default 4 MiB).
 	SegmentBytes int64
@@ -1077,7 +1081,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) runJob(job *Job) {
 	start := time.Now()
 	job.setRunning(start)
-	s.store.Started(job)
 	s.metrics.observePhase(PhaseQueueWait, start.Sub(job.submitted))
 	// The quota reservation taken at admission is returned when the job
 	// leaves the live set, and every completion feeds the drain-rate
@@ -1145,6 +1148,16 @@ func (s *Server) runJob(job *Job) {
 	}
 	res, err := protocol.Run(cfg)
 	now := time.Now()
+	var transcript json.RawMessage
+	if err == nil && res.Transcript != nil {
+		// Encoded once, here, off the store lock: the terminal WAL
+		// record, every snapshot, replica pushes and transcript reads
+		// all reuse these bytes, and they take less than half the memory
+		// of the decoded transcript.
+		if transcript, err = json.Marshal(res.Transcript); err != nil {
+			err = fmt.Errorf("server: encoding transcript: %w", err)
+		}
+	}
 	s.publish(job, tenant.Event{Type: tenant.EventPhase, Time: now,
 		Tenant: job.Spec.Tenant, JobID: job.ID, Phase: PhaseQueueWait,
 		DurationMS: float64(start.Sub(job.submitted)) / float64(time.Millisecond)})
@@ -1182,7 +1195,7 @@ func (s *Server) runJob(job *Job) {
 		job.setTrace(rec.Spans())
 		s.metrics.traced.Add(1)
 	}
-	job.finish(StateDone, jr, res.Transcript, "", now, s.cfg.ResultTTL)
+	job.finish(StateDone, jr, transcript, "", now, s.cfg.ResultTTL)
 	s.store.Finished(job)
 	s.replicateTerminal(job)
 	s.metrics.completed.Add(1)

@@ -1,16 +1,17 @@
 package server
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
 
 // Store is the job index behind a Server. The in-memory store is the
 // default; when a data directory is configured the journal-backed store
-// (journalstore.go) wraps it write-through: every lifecycle transition
-// is appended to the WAL before it becomes visible, while reads stay
-// O(1) lock-held map hits — jobs are small, so the whole working set
-// lives in memory either way.
+// (journalstore.go) wraps it write-through: every admission and every
+// terminal transition is appended to the WAL before it becomes
+// visible, while reads stay O(1) lock-held map hits — jobs are small,
+// so the whole working set lives in memory either way.
 //
 // TTL contract (pinned by TestSweepPreservesRestoredTTL): a terminal
 // job's retention clock is measured from its COMPLETION time — expires
@@ -52,11 +53,6 @@ type Store interface {
 	Len() int
 	// Sweep evicts every expired terminal job, returning the count.
 	Sweep(now time.Time) int
-	// Started records a queued -> running transition (after the job's
-	// own state change). Best-effort in the journal-backed store: the
-	// job is already durable as queued, and a lost running marker only
-	// costs a redundant re-run after a crash.
-	Started(j *Job)
 	// Finished records a terminal transition (after the job's own state
 	// change), persisting the result and its TTL deadline.
 	Finished(j *Job)
@@ -72,6 +68,16 @@ type Store interface {
 type memStore struct {
 	mu   sync.Mutex
 	jobs map[string]*Job
+	// next numbers insertions, so snapshotJobs can return jobs in
+	// admission order rather than map order.
+	next uint64
+}
+
+// insertLocked indexes j as the newest admission. Caller holds s.mu.
+func (s *memStore) insertLocked(j *Job) {
+	j.admitSeq = s.next
+	s.next++
+	s.jobs[j.ID] = j
 }
 
 func newMemStore() *memStore {
@@ -81,7 +87,7 @@ func newMemStore() *memStore {
 func (s *memStore) Put(j *Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobs[j.ID] = j
+	s.insertLocked(j)
 	return nil
 }
 
@@ -89,7 +95,7 @@ func (s *memStore) PutBatch(jobs []*Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, j := range jobs {
-		s.jobs[j.ID] = j
+		s.insertLocked(j)
 	}
 	return nil
 }
@@ -105,7 +111,7 @@ func (s *memStore) PutIfAbsent(j *Job, now time.Time) (*Job, error) {
 		return old, nil
 	}
 	// Absent, expired, or rejected: (re-)admit j in its place.
-	s.jobs[j.ID] = j
+	s.insertLocked(j)
 	return nil, nil
 }
 
@@ -118,7 +124,7 @@ func (s *memStore) PutBatchIfAbsent(jobs []*Job, now time.Time) ([]*Job, error) 
 			existing[i] = old
 			continue
 		}
-		s.jobs[j.ID] = j
+		s.insertLocked(j)
 	}
 	return existing, nil
 }
@@ -187,17 +193,16 @@ func (s *memStore) Sweep(now time.Time) int {
 	return removed
 }
 
-// Started / Finished are lifecycle no-ops in memory: the Job itself is
-// the source of truth and it is already in the map.
-func (s *memStore) Started(j *Job)  {}
+// Finished is a lifecycle no-op in memory: the Job itself is the
+// source of truth and it is already in the map.
 func (s *memStore) Finished(j *Job) {}
 
 // Close is a no-op for the in-memory store.
 func (s *memStore) Close() error { return nil }
 
 // snapshotJobs returns every indexed job (live or expired; the caller
-// filters). Used by the journal-backed store to build compaction
-// snapshots.
+// filters) in admission order. Used by the journal-backed store to
+// build compaction snapshots.
 func (s *memStore) snapshotJobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,5 +210,6 @@ func (s *memStore) snapshotJobs() []*Job {
 	for _, j := range s.jobs {
 		out = append(out, j)
 	}
+	sort.Slice(out, func(a, b int) bool { return out[a].admitSeq < out[b].admitSeq })
 	return out
 }
