@@ -7,9 +7,11 @@ GO ?= go
 # available, "dev" otherwise — same default the unstamped var carries.
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X dmw/internal/obs.Version=$(VERSION)"
-# BENCH_OUT is the archived benchmark document `make bench` emits; bump
-# the suffix when re-baselining after a performance PR.
-BENCH_OUT ?= BENCH_9.json
+# BENCH_OUT is the archived benchmark document `make bench` emits. The
+# suffix names the next archive: BENCH_10.json holds loadgen results
+# only, and BENCH_11.json is the first re-baseline of every suite. Bump
+# it when re-baselining again.
+BENCH_OUT ?= BENCH_11.json
 # BENCHTIME trades precision for runtime; 0.2s is enough for the
 # crypto-level series to stabilize on an idle machine.
 BENCHTIME ?= 0.2s
@@ -130,7 +132,7 @@ bench-crypto:
 	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) ./internal/group ./internal/commit
 
 # allocs-gate enforces the allocation budgets on the hot paths (batched
-# share verification, wire codec). Runs WITHOUT -race: the race
+# share verification and the coalescer's solo path, wire codec). Runs WITHOUT -race: the race
 # detector's instrumentation allocates, so the budget tests skip
 # themselves under it (see race_on_test.go in each package). CI runs
 # this on every push, next to the e2e and smoke gates.

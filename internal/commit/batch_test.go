@@ -291,6 +291,27 @@ func BenchmarkBatchVerifyShares(b *testing.B) {
 	}
 }
 
+// BenchmarkCoalescerSolo is a lone Coalescer.VerifyShares at the same
+// shape as BenchmarkBatchVerifyShares/*/batched: the path every
+// verification on an idle replica takes, so its gap to "batched" is
+// the coalescer's whole solo cost.
+func BenchmarkCoalescerSolo(b *testing.B) {
+	for _, preset := range []string{group.PresetTest64, group.PresetSim256} {
+		b.Run(preset, func(b *testing.B) {
+			g, pw, items := stressShape(b, preset)
+			c := NewCoalescer(g, 0, nil)
+			coeffRng := rand.New(rand.NewSource(7))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.VerifyShares(pw, items, coeffRng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func benchBatchVerify(b *testing.B, preset string) {
 	g := group.MustNew(group.MustPreset(preset))
 	const n, sigma = 8, 32

@@ -1,10 +1,11 @@
 package commit
 
 import (
+	"errors"
 	"io"
 	"math/big"
+	"runtime"
 	"sync"
-	"time"
 
 	"dmw/internal/group"
 )
@@ -31,51 +32,50 @@ import (
 // pass see nil, exactly as if they had never shared a batch. The
 // wrong-job-blamed failure mode is pinned by TestCoalescerGuiltyJobIsolation.
 
-// Default coalescing bounds: the window is the longest a first arriver
-// waits for company (well under a round-trip even on loopback, so
-// single-job latency doesn't regress measurably), and maxTerms caps one
-// combined MultiExp so a pathological pileup cannot build an unbounded
-// exponent table.
-const (
-	DefaultCoalesceWindow = 200 * time.Microsecond
-	DefaultMaxBatchTerms  = 4096
-)
+// DefaultMaxBatchTerms caps one combined MultiExp so a pathological
+// pileup cannot build an unbounded exponent table.
+const DefaultMaxBatchTerms = 4096
 
 // Coalescer aggregates share-verification requests from concurrent
-// goroutines into combined passes. It is leader-based and owns no
-// resident goroutine: the first arriver of an idle period becomes the
-// leader, sleeps the coalesce window, then drains and verifies whatever
-// accumulated (including later arrivals' requests) while the members
-// block on their reply channels. A Coalescer is safe for concurrent use
-// and needs no shutdown.
+// goroutines into combined passes by smart batching: it never waits for
+// company. An arrival starts a pass at once when fewer than slots passes
+// are running; otherwise it queues. A finishing pass hands its slot to
+// the head of the queue, which drains everything queued by then as the
+// next combined pass. Batches therefore grow with load, and an idle
+// caller pays nothing beyond its own verification. There is no resident
+// goroutine and no timer: queued callers park on their reply channels
+// and passes run on the callers' goroutines. A Coalescer is safe for
+// concurrent use and needs no shutdown.
 type Coalescer struct {
 	g        *group.Group
-	window   time.Duration
 	maxTerms int
+	slots    int             // passes allowed in flight (GOMAXPROCS at construction)
 	observe  func(items int) // per combined pass: coalesced item count
 
 	mu      sync.Mutex
+	running int // slots held by passes, including ones handed off but not yet drained
 	pending []*pendingReq
-	leader  bool
 }
 
 type pendingReq struct {
 	req  Request
-	done chan error
+	done chan error // the verdict, or errSlot when the caller inherits a slot
 }
 
-// NewCoalescer builds a coalescer over g. window <= 0 and maxTerms <= 0
-// select the defaults; observe (optional) is called once per combined
+// errSlot is sent on a queued request's channel instead of a verdict to
+// hand it a finishing pass's slot.
+var errSlot = errors.New("commit: coalescer slot handoff")
+
+// NewCoalescer builds a coalescer over g. maxTerms <= 0 selects
+// DefaultMaxBatchTerms; observe (optional) is called once per combined
 // pass with the number of share items it covered, for the
-// dmwd_verify_batch_size histogram.
-func NewCoalescer(g *group.Group, window time.Duration, maxTerms int, observe func(items int)) *Coalescer {
-	if window <= 0 {
-		window = DefaultCoalesceWindow
-	}
+// dmwd_verify_batch_size histogram. Up to runtime.GOMAXPROCS(0) passes
+// run at once, so verification still uses every core while batches form.
+func NewCoalescer(g *group.Group, maxTerms int, observe func(items int)) *Coalescer {
 	if maxTerms <= 0 {
 		maxTerms = DefaultMaxBatchTerms
 	}
-	return &Coalescer{g: g, window: window, maxTerms: maxTerms, observe: observe}
+	return &Coalescer{g: g, maxTerms: maxTerms, slots: runtime.GOMAXPROCS(0), observe: observe}
 }
 
 // Group returns the group every request must have been built over.
@@ -84,10 +84,11 @@ func (c *Coalescer) Group() *group.Group { return c.g }
 // VerifyShares is the coalescing equivalent of BatchVerifyShares: same
 // arguments, same results (nil acceptance, *VerifyError attribution,
 // first-failure semantics), but the combined pass may span other
-// goroutines' concurrent requests. The call blocks for at most the
-// coalesce window plus the combined verification itself. rng, when
-// non-nil, must not be used by the caller until the call returns (the
-// pass leader draws this request's coefficients from it).
+// goroutines' concurrent requests. A caller that finds a free slot
+// verifies at once; otherwise it waits for a running pass to finish and
+// then joins the next one. rng, when non-nil, must not be used by the
+// caller until the call returns (the pass runner draws this request's
+// coefficients from it).
 func (c *Coalescer) VerifyShares(alphaPowers []*big.Int, items []BatchItem, rng io.Reader) error {
 	if len(items) == 0 {
 		return nil
@@ -98,24 +99,51 @@ func (c *Coalescer) VerifyShares(alphaPowers []*big.Int, items []BatchItem, rng 
 	if verr := req.validate(); verr != nil {
 		return verr
 	}
-	p := &pendingReq{req: req, done: make(chan error, 1)}
 	c.mu.Lock()
-	c.pending = append(c.pending, p)
-	if c.leader {
+	if c.running < c.slots {
+		// A free slot means nothing is queued (requests queue only
+		// while every slot is held), so this is a solo pass: plain
+		// BatchVerifyShares, with no pending record to allocate.
+		c.running++
 		c.mu.Unlock()
-		return <-p.done
+		if c.observe != nil {
+			c.observe(len(items))
+		}
+		err := BatchVerifyShares(c.g, alphaPowers, items, rng)
+		c.release()
+		return err
 	}
-	c.leader = true
+	p := &pendingReq{req: req, done: make(chan error, 1)}
+	c.pending = append(c.pending, p)
 	c.mu.Unlock()
-
-	time.Sleep(c.window)
+	if err := <-p.done; err != errSlot {
+		return err
+	}
+	// This request inherited a slot: verify it together with everything
+	// that queued behind it.
 	c.mu.Lock()
-	batch := c.pending
+	batch := append([]*pendingReq{p}, c.pending...)
 	c.pending = nil
-	c.leader = false
 	c.mu.Unlock()
 	c.flush(batch)
+	c.release()
 	return <-p.done
+}
+
+// release ends a pass: it hands the slot to the head of the queue, or
+// frees it when nothing is queued.
+func (c *Coalescer) release() {
+	c.mu.Lock()
+	if len(c.pending) == 0 {
+		c.running--
+		c.mu.Unlock()
+		return
+	}
+	next := c.pending[0]
+	c.pending[0] = nil
+	c.pending = c.pending[1:]
+	c.mu.Unlock()
+	next.done <- errSlot
 }
 
 // flush verifies a drained batch in maxTerms-bounded chunks. A single

@@ -93,11 +93,14 @@ type RunConfig struct {
 	// Verifier, when non-nil, routes every agent's round-2 share
 	// verification through a fleet-wide coalescer (commit.NewCoalescer)
 	// so concurrent auctions — including ones from OTHER jobs sharing
-	// the same group — are checked in one combined
-	// random-linear-combination pass. It must have been built over a
-	// group with parameters equal to Params. Ignored when CountOps is
-	// set: coalesced passes run outside the per-agent counters and
-	// would silently under-report Theorem 12 accounting.
+	// the same group — are checked in combined
+	// random-linear-combination passes. The coalescer never waits for
+	// company: a lone check verifies at once, and checks arriving while
+	// every pass slot is busy are verified together in the next pass.
+	// It must have been built over a group with parameters equal to
+	// Params. Ignored when CountOps is set: coalesced passes run
+	// outside the per-agent counters and would silently under-report
+	// Theorem 12 accounting.
 	Verifier *commit.Coalescer
 	// Trace, when non-nil, records protocol spans (per-auction spans
 	// with per-phase children, plus init and settlement segments) into
@@ -458,7 +461,10 @@ func settlePayments(cfg RunConfig, viewsByAgent [][]*AuctionOutcome, stats *tran
 		}
 		nw.SetRealTime(true)
 	}
-	claimsCh := make(chan payment.Claim, n)
+	// sent[i] is agent i's broadcast claim; each goroutine writes only
+	// its own entry, and claims are collected in agent order so that a
+	// recorded transcript does not depend on goroutine scheduling.
+	sent := make([][]int64, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		ep, err := nw.Endpoint(i)
@@ -479,19 +485,20 @@ func settlePayments(cfg RunConfig, viewsByAgent [][]*AuctionOutcome, stats *tran
 			}
 			if !hooks.OmitPaymentClaim {
 				if err := ep.Broadcast(transport.KindPaymentClaim, -1, PaymentClaimPayload{Payments: p}); err == nil {
-					claimsCh <- payment.Claim{From: i, Payments: p}
+					sent[i] = p
 				}
 			}
 			ep.FinishRound()
 		}(i, ep)
 	}
 	wg.Wait()
-	close(claimsCh)
 	stats.Merge(nw.Stats())
 
 	var claims []payment.Claim
-	for c := range claimsCh {
-		claims = append(claims, c)
+	for i, p := range sent {
+		if p != nil {
+			claims = append(claims, payment.Claim{From: i, Payments: p})
+		}
 	}
 	if len(claims) == 0 {
 		// Nobody claimed (e.g. everyone crashed): nothing is dispensed.

@@ -269,3 +269,84 @@ func TestMarshalRecordSplicesTranscript(t *testing.T) {
 		t.Fatalf("record without a transcript encodes one: %s", data)
 	}
 }
+
+// TestUnjournaledFinishRerunsIdentically pins the crash gap between
+// job.finish and the terminal append in runJob: a job can be seen as
+// done before its terminal record is in the WAL. A crash inside that
+// gap leaves only the admission record, so recovery re-enqueues the job
+// as queued and re-runs it — and, the run being deterministic in its
+// spec, to a byte-identical result and transcript.
+func TestUnjournaledFinishRerunsIdentically(t *testing.T) {
+	dir := t.TempDir()
+	cfg := journalConfig(dir)
+	cfg.SnapshotEvery = -1
+	s1, err := New(cfg) // not Started yet: only the admission record is written
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := s1.Submit(JobSpec{ID: "gap", Bids: [][]int{{1, 2}, {2, 1}, {3, 3}, {3, 2}, {2, 2}},
+		W: []int{1, 2, 3}, Seed: 11, Record: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The WAL as a crash right after job.finish would leave it.
+	gapDir := t.TempDir()
+	copyJournalFiles(t, dir, gapDir)
+
+	s1.Start()
+	done := waitTerminal(t, s1, job.ID, 60*time.Second)
+	wantResult, wantTranscript := resultBytes(t, done), done.transcriptJSON()
+	if done.State() != StateDone || len(wantTranscript) == 0 {
+		t.Fatalf("first run: state %s, %d transcript bytes; want done with a transcript", done.State(), len(wantTranscript))
+	}
+	s1.crashForTest()
+
+	s2, err := New(journalConfig(gapDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.crashForTest)
+	if got, ok := s2.Get(job.ID); !ok || got.State() != StateQueued {
+		t.Fatalf("recovered job: found %v; want it queued", ok)
+	}
+	s2.Start()
+	rerun := waitTerminal(t, s2, job.ID, 60*time.Second)
+	if got := resultBytes(t, rerun); !bytes.Equal(got, wantResult) {
+		t.Errorf("re-run result differs:\n  got  %s\n  want %s", got, wantResult)
+	}
+	if got := rerun.transcriptJSON(); !bytes.Equal(got, wantTranscript) {
+		t.Errorf("re-run transcript differs:\n  got  %s\n  want %s", got, wantTranscript)
+	}
+}
+
+// resultBytes is the job's result as JSON.
+func resultBytes(t *testing.T, job *Job) []byte {
+	t.Helper()
+	b, err := json.Marshal(job.record().Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// copyJournalFiles copies the journal's segment and snapshot files
+// (not its LOCK file) from src to dst.
+func copyJournalFiles(t *testing.T, src, dst string) {
+	t.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.Type().IsRegular() || e.Name() == "LOCK" {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

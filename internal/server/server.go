@@ -82,12 +82,9 @@ type Config struct {
 	// artifact is rewritten for the next boot. /healthz reports
 	// table_build_seconds either way.
 	ParamsCache string
-	// VerifyWindow and VerifyMaxTerms tune the cross-job share-
-	// verification coalescer (zero selects commit.DefaultCoalesceWindow
-	// / commit.DefaultMaxBatchTerms). Negative VerifyMaxTerms is
-	// reserved; tests shrink VerifyWindow to make coalescing windows
-	// deterministic.
-	VerifyWindow   time.Duration
+	// VerifyMaxTerms caps the multi-exp terms of one combined pass of
+	// the cross-job share-verification coalescer (zero selects
+	// commit.DefaultMaxBatchTerms). Negative values are reserved.
 	VerifyMaxTerms int
 	// QueueDepth bounds the admission queue (default 64).
 	QueueDepth int
@@ -214,8 +211,11 @@ type Server struct {
 	params *group.Params
 	grp    *group.Group
 	// verifier coalesces share verifications across every concurrent
-	// job on grp into combined random-linear-combination passes; the
-	// observe hook feeds dmwd_verify_batch_size.
+	// job on grp into combined random-linear-combination passes. A
+	// check starts at once while fewer than GOMAXPROCS passes run;
+	// checks that arrive while every pass slot is busy form the next
+	// pass, so batches grow with load and an idle server never waits.
+	// The observe hook feeds dmwd_verify_batch_size.
 	verifier *commit.Coalescer
 	// paramsCacheLoaded records whether boot loaded the warm table
 	// artifact (vs building tables); grp.TableBuildTime() has the cost.
@@ -322,7 +322,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.paramsCacheLoaded = cacheLoaded
 	s.sloEngine = slo.NewEngine(cfg.SLOs, s.metrics.latencyHDR.Snapshot)
-	s.verifier = commit.NewCoalescer(grp, cfg.VerifyWindow, cfg.VerifyMaxTerms, func(items int) {
+	s.verifier = commit.NewCoalescer(grp, cfg.VerifyMaxTerms, func(items int) {
 		s.metrics.verifyBatch.Observe(float64(items))
 	})
 	mem := newMemStore()
@@ -1173,11 +1173,12 @@ func (s *Server) runJob(job *Job) {
 		root.SetAttr("state", string(StateFailed))
 		root.End()
 		job.setTrace(rec.Spans())
+		// Metrics first: a job that reads as failed is already counted.
+		s.metrics.failed.Add(1)
+		s.observeJobLatency(job, rec != nil, now)
 		job.finish(StateFailed, nil, nil, err.Error(), now, s.cfg.ResultTTL)
 		s.store.Finished(job)
 		s.replicateTerminal(job)
-		s.metrics.failed.Add(1)
-		s.observeJobLatency(job, rec != nil, now)
 		s.publish(job, tenant.Event{Type: tenant.EventFailed, Time: now,
 			Tenant: job.Spec.Tenant, JobID: job.ID, Error: err.Error()})
 		s.cfg.Logf("job %s failed: %v", job.ID, err)
@@ -1195,9 +1196,7 @@ func (s *Server) runJob(job *Job) {
 		job.setTrace(rec.Spans())
 		s.metrics.traced.Add(1)
 	}
-	job.finish(StateDone, jr, transcript, "", now, s.cfg.ResultTTL)
-	s.store.Finished(job)
-	s.replicateTerminal(job)
+	// Metrics first: a job that reads as done is already counted.
 	s.metrics.completed.Add(1)
 	s.metrics.auctions.Add(int64(job.Tasks()))
 	s.metrics.groupExp.Add(jr.GroupExp)
@@ -1205,6 +1204,9 @@ func (s *Server) runJob(job *Job) {
 	s.metrics.groupMultiExps.Add(jr.GroupMultiExps)
 	s.metrics.groupMultiExpTerms.Add(jr.GroupMultiExpTerms)
 	s.observeJobLatency(job, rec != nil, now)
+	job.finish(StateDone, jr, transcript, "", now, s.cfg.ResultTTL)
+	s.store.Finished(job)
+	s.replicateTerminal(job)
 	s.publish(job, tenant.Event{Type: tenant.EventDone, Time: now,
 		Tenant: job.Spec.Tenant, JobID: job.ID})
 	s.cfg.Logger.Info("job done",
