@@ -132,7 +132,8 @@ bench-crypto:
 	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) ./internal/group ./internal/commit
 
 # allocs-gate enforces the allocation budgets on the hot paths (batched
-# share verification and the coalescer's solo path, wire codec). Runs WITHOUT -race: the race
+# share verification and the coalescer's solo path, the DMW message
+# codec, the gateway relay arena). Runs WITHOUT -race: the race
 # detector's instrumentation allocates, so the budget tests skip
 # themselves under it (see race_on_test.go in each package). CI runs
 # this on every push, next to the e2e and smoke gates.
@@ -159,7 +160,6 @@ bench-gateway:
 # one line per target.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run xxx -fuzz FuzzJobFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzMultiExp -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME) ./internal/journal
 

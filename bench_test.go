@@ -568,48 +568,34 @@ func BenchmarkGatewayThroughput(b *testing.B) {
 		})
 	}
 
-	// Transport-amortization shapes: the same single-submit client
-	// workload over a fleet wide enough (64 workers per replica) that
-	// the worker pool stops binding and the per-submit transport cost is
-	// what's measured. coalesce=off prices that fleet with every submit
-	// as its own RPC; coalesce=on lets the gateway micro-batch
-	// concurrent submits per ring owner (2ms window — noise against the
-	// 55ms job latency) over the negotiated binary protocol. The
-	// off-shape doubles as the regression guard: the plain replicas=2
-	// shape above must keep reproducing its pre-coalescing baseline.
-	for _, mode := range []struct {
-		name   string
-		window time.Duration
-	}{{"off", 0}, {"on", 2 * time.Millisecond}} {
-		b.Run("replicas=2,coalesce="+mode.name, func(b *testing.B) {
-			cfg := gateway.Config{
-				HealthInterval:   time.Second,
-				CoalesceWindow:   mode.window,
-				CoalesceMaxBatch: 64,
-			}
-			for i := 0; i < 2; i++ {
-				ts := startWideBenchReplica(b)
-				cfg.Backends = append(cfg.Backends, gateway.Backend{
-					Name: fmt.Sprintf("rep%d", i), URL: ts.URL,
-				})
-			}
-			g, err := gateway.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			front := httptest.NewServer(g.Handler())
-			b.Cleanup(func() {
-				front.Close()
-				g.Close()
+	// The wide shape: the same single-submit client workload over a
+	// fleet wide enough (64 workers per replica) that the worker pool
+	// stops binding, so the gateway's per-submit cost (decode, JSON
+	// re-encode, relay) is what's measured.
+	b.Run("replicas=2,workers=64", func(b *testing.B) {
+		cfg := gateway.Config{HealthInterval: time.Second}
+		for i := 0; i < 2; i++ {
+			ts := startWideBenchReplica(b)
+			cfg.Backends = append(cfg.Backends, gateway.Backend{
+				Name: fmt.Sprintf("rep%d", i), URL: ts.URL,
 			})
-			benchHTTPJobs(b, front.URL, 256)
+		}
+		g, err := gateway.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		front := httptest.NewServer(g.Handler())
+		b.Cleanup(func() {
+			front.Close()
+			g.Close()
 		})
-	}
+		benchHTTPJobs(b, front.URL, 256)
+	})
 }
 
 // startWideBenchReplica boots a dmwd whose worker pool (64) outruns the
-// 10ms-link workload's latency ceiling, so the transport-amortization
-// shapes measure submit-path cost instead of worker starvation.
+// 10ms-link workload's latency ceiling, so the wide shape measures
+// submit-path cost instead of worker starvation.
 func startWideBenchReplica(b *testing.B) *httptest.Server {
 	b.Helper()
 	srv, err := server.New(server.Config{

@@ -92,19 +92,6 @@ type Config struct {
 	// RequestTimeout bounds one proxied attempt, excluding any ?wait
 	// long-poll allowance added on top (default 60s).
 	RequestTimeout time.Duration
-	// CoalesceWindow enables adaptive micro-batching of single-job
-	// submits: concurrent POST /v1/jobs requests whose IDs hash to the
-	// same ring owner are held for at most this long and flushed as one
-	// batch RPC, with per-item answers fanned back. Zero disables
-	// coalescing (the default — it trades up to a window of latency for
-	// transport amortization, a trade only high-rate deployments want).
-	CoalesceWindow time.Duration
-	// CoalesceMaxBatch caps one coalesced flush (default 64 when
-	// coalescing is enabled); a window that fills early flushes early.
-	CoalesceMaxBatch int
-	// DisableWire forces JSON bodies on all intra-fleet requests even to
-	// replicas that advertise the binary frame protocol.
-	DisableWire bool
 	// StreamTimeout bounds one relayed SSE stream (job event streams and
 	// the fleet firehose). Streams are long-lived by design, so the
 	// default is generous (15m); 0 takes the default, negative disables
@@ -151,12 +138,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
 	}
-	if c.CoalesceMaxBatch <= 0 {
-		c.CoalesceMaxBatch = 64
-	}
-	if c.CoalesceMaxBatch > maxBatchJobs {
-		c.CoalesceMaxBatch = maxBatchJobs
-	}
 	if c.StreamTimeout == 0 {
 		c.StreamTimeout = 15 * time.Minute
 	}
@@ -202,13 +183,6 @@ type backend struct {
 	// leased marks a backend that joined via a membership lease rather
 	// than static config; it leaves the fleet on release or expiry.
 	leased bool
-
-	// wireState is the negotiated intra-fleet encoding for this replica:
-	// wireAuto (probe with binary frames), wireConfirmed (replica spoke
-	// the capability header), or wireJSONOnly (replica refused a framed
-	// request without the header — a pre-wire build; sticky until the
-	// backend is re-pointed or restarts).
-	wireState atomic.Int32
 
 	// up is the ring-membership view of health. Backends start up;
 	// the prober ejects after FailAfter consecutive failures.
@@ -265,10 +239,7 @@ type Gateway struct {
 	// relayBufs is the pooled arena backing buffered response bodies
 	// (see pool.go).
 	relayBufs *relayPool
-	// coalesce is the single-submit micro-batcher; nil when
-	// CoalesceWindow is zero.
-	coalesce *coalescer
-	start    time.Time
+	start     time.Time
 	// instanceID identifies this gateway process in dmwgw_build_info and
 	// structured logs; random per boot (the gateway is stateless, so a
 	// restart genuinely is a new instance).
@@ -295,10 +266,6 @@ func New(cfg Config) (*Gateway, error) {
 		start:      time.Now(),
 		stop:       make(chan struct{}),
 		instanceID: newJobID(),
-	}
-	g.metrics.submitBatchSize = obs.NewHistogram(submitBatchBuckets)
-	if cfg.CoalesceWindow > 0 {
-		g.coalesce = newCoalescer(g, cfg.CoalesceWindow, cfg.CoalesceMaxBatch)
 	}
 	for _, bc := range cfg.Backends {
 		if bc.Name == "" {
@@ -455,8 +422,5 @@ func (g *Gateway) SetBackendURL(name, rawURL string) error {
 		return fmt.Errorf("gateway: backend %q: invalid URL %q", name, rawURL)
 	}
 	b.base.Store(u)
-	// A re-pointed backend is a different process: re-probe its wire
-	// capability instead of trusting the old verdict.
-	b.wireState.Store(wireAuto)
 	return nil
 }

@@ -23,10 +23,6 @@ import (
 // microseconds to minutes, replacing the old 15-bucket hand-picked
 // ladder that could not resolve sub-10ms or >1s tails.
 
-// submitBatchBuckets are the coalesced-flush size buckets
-// (dmwgw_submit_batch_size): powers of two up to the batch API limit.
-var submitBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
 // gwMetrics are the gateway's own counters (the fleet's counters are
 // scraped and summed at exposition time, never cached).
 type gwMetrics struct {
@@ -42,17 +38,6 @@ type gwMetrics struct {
 	ejected         atomic.Int64 // ring ejections by the health prober
 	readmitted      atomic.Int64 // ring re-admissions
 	replicaRestarts atomic.Int64 // replica identity changes behind one address
-
-	// Transport-amortization telemetry (coalescer, wire protocol, relay
-	// arena).
-	coalescedSubmits atomic.Int64 // single submits that rode a coalesced flush
-	coalesceFlushes  atomic.Int64 // coalesced batch RPCs dispatched
-	coalesceDirect   atomic.Int64 // waiters sent back to the direct path
-	wireNegotiated   atomic.Int64 // backends confirmed speaking binary frames
-	wireFallbacks    atomic.Int64 // backends pinned to JSON after refusing a frame
-	// submitBatchSize observes each coalesced flush's job count
-	// (dmwgw_submit_batch_size); constructed in New.
-	submitBatchSize *obs.Histogram
 
 	leaseJoins    atomic.Int64 // members admitted via membership lease
 	leaseRenewals atomic.Int64 // lease heartbeats for existing members
@@ -94,15 +79,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("dmwgw_lease_renewals_total %d\n", g.metrics.leaseRenewals.Load())
 	p("dmwgw_lease_releases_total %d\n", g.metrics.leaseReleases.Load())
 	p("dmwgw_lease_expiries_total %d\n", g.metrics.leaseExpiries.Load())
-	p("dmwgw_coalesced_submits_total %d\n", g.metrics.coalescedSubmits.Load())
-	p("dmwgw_coalesce_flushes_total %d\n", g.metrics.coalesceFlushes.Load())
-	p("dmwgw_coalesce_direct_total %d\n", g.metrics.coalesceDirect.Load())
-	p("dmwgw_wire_negotiated_total %d\n", g.metrics.wireNegotiated.Load())
-	p("dmwgw_wire_fallbacks_total %d\n", g.metrics.wireFallbacks.Load())
 	gets, misses := g.relayBufs.gets.Load(), g.relayBufs.misses.Load()
 	p("dmwgw_relay_pool_gets_total %d\n", gets)
 	p("dmwgw_relay_pool_misses_total %d\n", misses)
-	g.metrics.submitBatchSize.Write(w, "dmwgw_submit_batch_size", "")
 	p("dmwgw_uptime_seconds %.3f\n", time.Since(g.start).Seconds())
 	backends := g.snapshotBackends()
 	now := time.Now()

@@ -157,7 +157,7 @@ type attemptResult struct {
 	header http.Header
 	body   []byte
 	// buf is the pooled buffer backing body; non-nil results must reach
-	// exactly one releaseResult (fan-outs take extra references).
+	// exactly one releaseResult.
 	buf *relayBuf
 }
 
@@ -180,16 +180,10 @@ type attemptResult struct {
 // let a throttled tenant shop for the one replica whose token bucket
 // still has room, defeating per-replica admission control. The 429
 // relays with its derived Retry-After and X-Admission-Price intact.
+//
+// Request bodies are JSON. Response bodies land in the pooled relay
+// arena; on a nil error the caller owns the result's buffer reference.
 func (g *Gateway) tryBackend(ctx context.Context, b *backend, method, path, rawQuery string, body []byte) (*attemptResult, error) {
-	return g.tryBackendOpts(ctx, b, method, path, rawQuery, body, "application/json", "")
-}
-
-// tryBackendOpts is tryBackend with an explicit request encoding: the
-// intra-fleet binary protocol rides through contentType (a frame type
-// instead of application/json) and accept (asking for a binary result
-// frame back). Response bodies land in the pooled relay arena; on a
-// nil error the caller owns the result's buffer reference.
-func (g *Gateway) tryBackendOpts(ctx context.Context, b *backend, method, path, rawQuery string, body []byte, contentType, accept string) (*attemptResult, error) {
 	if err := b.acquire(ctx); err != nil {
 		return nil, err
 	}
@@ -231,10 +225,7 @@ func (g *Gateway) tryBackendOpts(ctx context.Context, b *backend, method, path, 
 		return nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
+		req.Header.Set("Content-Type", "application/json")
 	}
 	// Forward the correlation ID so the replica's access log, job record
 	// and trace carry the same request_id the gateway logged.
@@ -349,31 +340,11 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		spec.ID = newJobID()
 		g.metrics.assignedIDs.Add(1)
 	}
+	// Decoded from JSON above, so re-encoding cannot fail.
+	body, _ := json.Marshal(spec)
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
-	if g.coalesce != nil {
-		// A coalesced spec travels inside a batch body, so the identity
-		// that normally rides request headers must ride the spec itself.
-		ride := spec
-		if ride.RequestID == "" {
-			ride.RequestID = requestIDFrom(ctx)
-		}
-		if ride.Tenant == "" {
-			ride.Tenant = tenantFrom(ctx)
-		}
-		if out, joined := g.coalesce.submit(ctx, ride); joined {
-			if out.res != nil {
-				relay(w, out.res)
-				g.releaseResult(out.res)
-				return
-			}
-			// direct fallback: fall through to the ordinary path.
-		} else if ctx.Err() != nil {
-			writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "submit timed out in coalescing window"})
-			return
-		}
-	}
-	res, err := g.forwardSubmit(ctx, spec.ID, "/v1/jobs", submitBodies([]server.JobSpec{spec}, true), false)
+	res, err := g.forward(ctx, spec.ID, http.MethodPost, "/v1/jobs", "", body, false)
 	if err != nil {
 		g.metrics.unrouted.Add(1)
 		writeJSON(w, http.StatusBadGateway, apiError{Error: "no replica accepted the job: " + err.Error()})
@@ -525,10 +496,9 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			// Failover order keyed by the first job in the shard: every
 			// job in the shard has the same owner, so the successor walk
-			// is the same for all of them. The shard body rides the
-			// negotiated intra-fleet encoding; the answer stays JSON
-			// because the client-facing merge below is JSON anyway.
-			res, err := g.forwardSubmit(ctx, sh.specs[0].ID, "/v1/jobs/batch", submitBodies(sh.specs, false), false)
+			// is the same for all of them.
+			body, _ := json.Marshal(sh.specs) // decoded from JSON: cannot fail
+			res, err := g.forward(ctx, sh.specs[0].ID, http.MethodPost, "/v1/jobs/batch", "", body, false)
 			if err == nil {
 				var items []server.BatchItem
 				if res.status == http.StatusOK && json.Unmarshal(res.body, &items) == nil && len(items) == len(sh.indices) {

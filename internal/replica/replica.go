@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"dmw/internal/ring"
-	"dmw/internal/wire"
 )
 
 // RecordsPath is the replication RPC endpoint on every dmwd: POST a
@@ -91,9 +90,6 @@ type Config struct {
 	// RPC — wired to the server's push-batch-size histogram, so the
 	// coalescing win of the batched drain is visible in /metrics.
 	ObserveBatch func(records int)
-	// DisableWire forces JSON push bodies even to peers that advertise
-	// the binary record-frame encoding.
-	DisableWire bool
 }
 
 // Replicator owns replication placement and transport for one replica.
@@ -103,11 +99,10 @@ type Config struct {
 type Replicator struct {
 	cfg Config
 
-	mu       sync.RWMutex
-	view     View
-	ring     *ring.Ring
-	urls     map[string]string // member name -> base URL
-	jsonOnly map[string]bool   // peers that refused the binary record frame
+	mu   sync.RWMutex
+	view View
+	ring *ring.Ring
+	urls map[string]string // member name -> base URL
 
 	queue chan Record
 	stop  chan struct{}
@@ -156,12 +151,11 @@ func NewReplicator(cfg Config) *Replicator {
 		cfg.ObserveBatch = func(int) {}
 	}
 	r := &Replicator{
-		cfg:      cfg,
-		ring:     ring.New(cfg.VirtualNodes),
-		urls:     make(map[string]string),
-		jsonOnly: make(map[string]bool),
-		queue:    make(chan Record, cfg.QueueDepth),
-		stop:     make(chan struct{}),
+		cfg:   cfg,
+		ring:  ring.New(cfg.VirtualNodes),
+		urls:  make(map[string]string),
+		queue: make(chan Record, cfg.QueueDepth),
+		stop:  make(chan struct{}),
 	}
 	r.wg.Add(1)
 	go r.worker()
@@ -184,9 +178,6 @@ func (r *Replicator) Update(v View) {
 	r.view = v
 	r.ring = rg
 	r.urls = urls
-	// A new view means peers may have restarted (possibly upgraded):
-	// forget negotiation verdicts and re-probe the binary encoding.
-	r.jsonOnly = make(map[string]bool)
 	r.mu.Unlock()
 }
 
@@ -285,9 +276,9 @@ func (r *Replicator) pushBatch(recs []Record) {
 	}
 	for name, group := range groups {
 		p := peers[name]
-		if err := r.post(p, group); err != nil {
+		if err := r.postJSON(p, group); err != nil {
 			time.Sleep(50 * time.Millisecond)
-			if err = r.post(p, group); err != nil {
+			if err = r.postJSON(p, group); err != nil {
 				r.pushErrors.Add(int64(len(group)))
 				r.cfg.Logf("replica: pushing %d records to %s failed: %v", len(group), name, err)
 				continue
@@ -403,7 +394,7 @@ func (r *Replicator) Handoff(recs []Record) {
 				for i, it := range chunk {
 					batch[i] = it.rec
 				}
-				if err := r.post(p, batch); err != nil {
+				if err := r.postJSON(p, batch); err != nil {
 					r.pushErrors.Add(int64(len(batch)))
 					r.cfg.Logf("replica: handoff of %d records to %s failed: %v", len(batch), name, err)
 					// Peer is unreachable: skip its remaining chunks and
@@ -420,76 +411,23 @@ func (r *Replicator) Handoff(recs []Record) {
 	}
 }
 
-// post delivers one batch to one peer, preferring the binary record
-// frame and falling back (sticky per peer, until the next view) to JSON
-// when the peer answers a frame-typed request without the wire
-// capability header — the signature of a member that predates the
-// binary protocol.
-func (r *Replicator) post(p Peer, recs []Record) error {
+// postJSON delivers one batch to one peer as a JSON Record array.
+func (r *Replicator) postJSON(p Peer, recs []Record) error {
 	r.cfg.ObserveBatch(len(recs))
 	start := time.Now()
 	defer func() { r.cfg.ObservePush(time.Since(start).Seconds()) }()
-	if !r.cfg.DisableWire && !r.peerJSONOnly(p.Name) {
-		err, fellBack := r.postFrame(p, recs)
-		if !fellBack {
-			return err
-		}
-		r.markJSONOnly(p.Name)
-		r.cfg.Logf("replica: peer %s does not speak record frames; falling back to JSON", p.Name)
-	}
-	return r.postJSON(p, recs)
-}
-
-func (r *Replicator) peerJSONOnly(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.jsonOnly[name]
-}
-
-func (r *Replicator) markJSONOnly(name string) {
-	r.mu.Lock()
-	r.jsonOnly[name] = true
-	r.mu.Unlock()
-}
-
-// postFrame attempts the binary encoding. fellBack reports a
-// negotiation failure (peer rejected the content type without speaking
-// the wire header): the caller must re-send as JSON. Genuine errors —
-// transport failures, or peer-side refusals that DO carry the header —
-// are returned as err with fellBack false, since the peer understood
-// the frame and retrying as JSON would not change the verdict.
-func (r *Replicator) postFrame(p Peer, recs []Record) (err error, fellBack bool) {
-	wrecs := make([]wire.Record, len(recs))
-	for i, rec := range recs {
-		wrecs[i] = wire.Record{ID: rec.ID, Origin: rec.Origin, Epoch: rec.Epoch, Payload: rec.Payload}
-	}
-	body, err := wire.AppendRecordFrame(nil, wrecs)
-	if err != nil {
-		return err, false
-	}
-	resp, err := r.send(p, body, wire.ContentTypeRecordFrame)
-	if err != nil {
-		return err, false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent:
-		return nil, false
-	case (resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusUnsupportedMediaType) &&
-		resp.Header.Get(wire.HeaderWire) == "":
-		return nil, true
-	default:
-		return &statusError{status: resp.StatusCode}, false
-	}
-}
-
-func (r *Replicator) postJSON(p Peer, recs []Record) error {
 	body, err := json.Marshal(recs)
 	if err != nil {
 		return err
 	}
-	resp, err := r.send(p, body, "application/json")
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.PushTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.URL+RecordsPath, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := r.cfg.Client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -499,18 +437,6 @@ func (r *Replicator) postJSON(p Peer, recs []Record) error {
 		return &statusError{status: resp.StatusCode}
 	}
 	return nil
-}
-
-// send issues one replication POST; callers own the response body.
-func (r *Replicator) send(p Peer, body []byte, contentType string) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.PushTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.URL+RecordsPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	return r.cfg.Client.Do(req)
 }
 
 type statusError struct{ status int }

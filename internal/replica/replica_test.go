@@ -9,18 +9,14 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"dmw/internal/wire"
 )
 
-// recordSink is a test peer that accepts replication POSTs in both the
-// JSON and binary record-frame encodings (like a current dmwd). It also
-// remembers per-POST batch sizes and which encodings it saw.
+// recordSink is a test peer that accepts replication POSTs (like a
+// current dmwd) and remembers per-POST batch sizes.
 type recordSink struct {
 	mu      sync.Mutex
 	recs    []Record
 	batches []int
-	framed  int // POSTs that arrived as binary record frames
 	srv     *httptest.Server
 }
 
@@ -33,48 +29,8 @@ func newRecordSink(t *testing.T) *recordSink {
 		}
 		body, _ := io.ReadAll(r.Body)
 		var recs []Record
-		if r.Header.Get("Content-Type") == wire.ContentTypeRecordFrame {
-			w.Header().Set(wire.HeaderWire, wire.WireV1)
-			wrecs, err := wire.DecodeRecordFrame(body)
-			if err != nil {
-				t.Errorf("sink: %v", err)
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			for _, wr := range wrecs {
-				recs = append(recs, Record{ID: wr.ID, Origin: wr.Origin, Epoch: wr.Epoch,
-					Payload: json.RawMessage(append([]byte(nil), wr.Payload...))})
-			}
-			s.mu.Lock()
-			s.framed++
-			s.mu.Unlock()
-		} else if err := json.Unmarshal(body, &recs); err != nil {
-			t.Errorf("sink: %v", err)
-		}
-		s.mu.Lock()
-		s.recs = append(s.recs, recs...)
-		s.batches = append(s.batches, len(recs))
-		s.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	t.Cleanup(s.srv.Close)
-	return s
-}
-
-// newJSONOnlySink is a peer that predates the binary protocol: it
-// refuses unknown content types with a plain 400 and no wire header.
-func newJSONOnlySink(t *testing.T) *recordSink {
-	s := &recordSink{}
-	s.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != RecordsPath {
-			http.NotFound(w, r)
-			return
-		}
-		body, _ := io.ReadAll(r.Body)
-		var recs []Record
 		if err := json.Unmarshal(body, &recs); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			return
+			t.Errorf("sink: %v", err)
 		}
 		s.mu.Lock()
 		s.recs = append(s.recs, recs...)
@@ -90,12 +46,6 @@ func (s *recordSink) count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.recs)
-}
-
-func (s *recordSink) framedPosts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.framed
 }
 
 func (s *recordSink) maxBatch() int {
@@ -168,6 +118,12 @@ func TestOfferPushesToSuccessors(t *testing.T) {
 	if pushes != 1 || errs != 0 || dropped != 0 {
 		t.Fatalf("stats = %d/%d/%d, want 1/0/0", pushes, errs, dropped)
 	}
+	sink.mu.Lock()
+	got := sink.recs[0]
+	sink.mu.Unlock()
+	if got.ID != "j-1" || got.Origin != "self" || got.Epoch != 1 || string(got.Payload) != `{"k":1}` {
+		t.Fatalf("peer stored %+v, want the offered record unchanged", got)
+	}
 }
 
 func TestHandoffGroupsPerTarget(t *testing.T) {
@@ -220,73 +176,6 @@ func TestHandoffFallsBackPastDeadPeer(t *testing.T) {
 	}
 	if _, errs, _ := r.Stats(); errs == 0 {
 		t.Fatal("no push errors counted despite a dead peer")
-	}
-}
-
-// TestOfferPushesUseRecordFrames: the async push path defaults to the
-// binary encoding when the peer advertises it.
-func TestOfferPushesUseRecordFrames(t *testing.T) {
-	sink := newRecordSink(t)
-	r := NewReplicator(Config{})
-	defer r.Close()
-	r.Update(view("self", 2,
-		Peer{Name: "self", URL: "http://ignored", Weight: 1},
-		Peer{Name: "peer", URL: sink.srv.URL, Weight: 1},
-	))
-	r.Offer(Record{ID: "wf-1", Origin: "self", Epoch: 1, Payload: json.RawMessage(`{"k":1}`)})
-	deadline := time.Now().Add(5 * time.Second)
-	for sink.count() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("offer never reached the peer")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if sink.framedPosts() == 0 {
-		t.Fatal("push to a frame-capable peer arrived as JSON")
-	}
-	sink.mu.Lock()
-	got := string(sink.recs[0].Payload)
-	sink.mu.Unlock()
-	if got != `{"k":1}` {
-		t.Fatalf("payload %q survived the frame wrong", got)
-	}
-}
-
-// TestWireFallbackToJSONOnly: a peer that answers a frame-typed POST
-// with 400 and no capability header is a pre-wire member — the push
-// must be retried as JSON within the same delivery (no record loss, no
-// push error counted) and the verdict remembered for later pushes.
-func TestWireFallbackToJSONOnly(t *testing.T) {
-	sink := newJSONOnlySink(t)
-	r := NewReplicator(Config{})
-	defer r.Close()
-	r.Update(view("self", 2,
-		Peer{Name: "self", URL: "http://ignored", Weight: 1},
-		Peer{Name: "old", URL: sink.srv.URL, Weight: 1},
-	))
-	for i := 0; i < 3; i++ {
-		r.Offer(Record{ID: fmt.Sprintf("fb-%d", i), Payload: json.RawMessage(`{}`)})
-		deadline := time.Now().Add(5 * time.Second)
-		for sink.count() <= i {
-			if time.Now().After(deadline) {
-				t.Fatalf("offer %d never reached the JSON-only peer", i)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if pushes, errs, _ := r.Stats(); pushes != 3 || errs != 0 {
-		t.Fatalf("stats = %d pushes / %d errors, want 3/0 (fallback is not an error)", pushes, errs)
-	}
-	if !r.peerJSONOnly("old") {
-		t.Fatal("negotiation verdict not remembered")
-	}
-	// A view change re-probes: the verdict must be cleared.
-	r.Update(view("self", 2,
-		Peer{Name: "self", URL: "http://ignored", Weight: 1},
-		Peer{Name: "old", URL: sink.srv.URL, Weight: 1},
-	))
-	if r.peerJSONOnly("old") {
-		t.Fatal("negotiation verdict survived a view change")
 	}
 }
 

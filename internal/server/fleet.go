@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dmw/internal/replica"
-	"dmw/internal/wire"
 )
 
 // Fleet integration: this file is the server half of the replicated
@@ -161,17 +160,10 @@ func (s *Server) handoffReplicas() {
 // time, batches at drain time).
 func (s *Server) handleReplicaRecords(w http.ResponseWriter, r *http.Request) {
 	var recs []replica.Record
-	if r.Header.Get("Content-Type") == wire.ContentTypeRecordFrame {
-		var ok bool
-		if recs, ok = s.decodeRecordFrameBody(w, r); !ok {
-			return
-		}
-	} else {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBodyBytes))
-		if err := dec.Decode(&recs); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding replica records: " + err.Error()})
-			return
-		}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBodyBytes))
+	if err := dec.Decode(&recs); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding replica records: " + err.Error()})
+		return
 	}
 	s.metrics.replicaAcceptBatch.Observe(float64(len(recs)))
 	s.AcceptReplica(recs)

@@ -16,7 +16,6 @@ import (
 	"dmw/internal/replica"
 	"dmw/internal/slo"
 	"dmw/internal/tenant"
-	"dmw/internal/wire"
 )
 
 // maxBodyBytes bounds POST bodies; a 64x64 bid matrix is ~20 KB of
@@ -173,23 +172,11 @@ func setRejectionHeaders(w http.ResponseWriter, rej *Rejection) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if r.Header.Get("Content-Type") == wire.ContentTypeJobFrame {
-		specs, ok := s.decodeJobFrameBody(w, r, maxBodyBytes)
-		if !ok {
-			return
-		}
-		if len(specs) != 1 {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("job frame carries %d specs; POST /v1/jobs takes exactly one", len(specs))})
-			return
-		}
-		spec = specs[0]
-	} else {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding job spec: " + err.Error()})
-			return
-		}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding job spec: " + err.Error()})
+		return
 	}
 	if spec.RequestID == "" {
 		spec.RequestID = requestIDFrom(r.Context())
@@ -231,18 +218,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // 200 with a BatchItem per spec, positionally aligned with the input.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var specs []JobSpec
-	if r.Header.Get("Content-Type") == wire.ContentTypeJobFrame {
-		var ok bool
-		if specs, ok = s.decodeJobFrameBody(w, r, maxBatchBodyBytes); !ok {
-			return
-		}
-	} else {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&specs); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding job spec array: " + err.Error()})
-			return
-		}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&specs); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding job spec array: " + err.Error()})
+		return
 	}
 	if len(specs) == 0 {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "empty batch"})
@@ -262,15 +242,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			specs[i].Tenant = tid
 		}
 	}
-	items := s.SubmitBatch(specs)
-	// A frame-speaking gateway asks for the binary result encoding so it
-	// can fan pre-marshaled per-item bodies back to coalesced waiters
-	// without parsing them; everyone else gets the JSON item array.
-	if r.Header.Get("Accept") == wire.ContentTypeResultFrame {
-		s.writeResultFrame(w, items)
-		return
-	}
-	writeJSON(w, http.StatusOK, items)
+	writeJSON(w, http.StatusOK, s.SubmitBatch(specs))
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {

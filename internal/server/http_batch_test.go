@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dmw/internal/tenant"
 )
 
 // postBatch POSTs a JSON array of specs and decodes the item list.
@@ -198,5 +200,45 @@ func TestBatchAmortizesFsync(t *testing.T) {
 	}
 	if got := after.Fsyncs - before.Fsyncs; got != 1 {
 		t.Errorf("fsyncs grew by %d, want 1 (amortized across the batch)", got)
+	}
+}
+
+// TestBatchItemStatuses pins the per-item status/guidance fields on the
+// JSON batch path: 429 items carry the refusing gate's own RetryAfter
+// and price, 503 items the queue-drain guidance.
+func TestBatchItemStatuses(t *testing.T) {
+	cfg := testConfig()
+	cfg.Tenants = tenant.Config{
+		Default: tenant.Unlimited,
+		Tenants: map[string]tenant.Limits{"throttled": {Rate: 0.001, Burst: 1, Quota: -1, Weight: 1}},
+	}
+	_, ts := startHTTP(t, cfg)
+
+	specs := []JobSpec{
+		{ID: "ok-1", Bids: [][]int{{1}, {2}, {3}, {3}}, W: []int{1, 2, 3}, Seed: 1},
+		{ID: "th-1", Bids: [][]int{{1}, {2}, {3}, {3}}, W: []int{1, 2, 3}, Seed: 2, Tenant: "throttled"},
+		{ID: "th-2", Bids: [][]int{{1}, {2}, {3}, {3}}, W: []int{1, 2, 3}, Seed: 3, Tenant: "throttled"},
+	}
+	status, items, _ := postBatch(t, ts, specs)
+	if status != http.StatusOK {
+		t.Fatalf("status %d, want 200", status)
+	}
+	if items[0].Status != http.StatusAccepted {
+		t.Errorf("accepted item: status %d, want 202", items[0].Status)
+	}
+	// The throttled tenant has burst 1: its first spec is admitted, the
+	// second refused by the token bucket with derived guidance.
+	if items[1].Status != http.StatusAccepted {
+		t.Errorf("first throttled item: status %d (%s), want 202", items[1].Status, items[1].Error)
+	}
+	it := items[2]
+	if it.Status != http.StatusTooManyRequests {
+		t.Fatalf("second throttled item: status %d (%s), want 429", it.Status, it.Error)
+	}
+	if it.RetryAfterSec < 1 {
+		t.Errorf("429 item: retry_after_seconds %d, want >= 1", it.RetryAfterSec)
+	}
+	if it.Job != nil {
+		t.Errorf("429 item carries a job view; per-tenant refusals must not create records")
 	}
 }

@@ -106,13 +106,6 @@ type metrics struct {
 	replicaPushBatch   *obs.Histogram
 	replicaAcceptBatch *obs.Histogram
 
-	// wireRequests counts frame-encoded requests served on the fleet
-	// endpoints; wireErrors counts frame bodies refused as corrupt or
-	// truncated (each one answered with a loud 400, never fed to the
-	// JSON decoder).
-	wireRequests atomic.Int64
-	wireErrors   atomic.Int64
-
 	// tenantMu guards the per-tenant label maps below. Cardinality is
 	// bounded by the registry (tenant.CleanID folding plus the dynamic-
 	// table cap), so these maps cannot grow without bound.
@@ -305,8 +298,6 @@ func (m *metrics) writeTo(w io.Writer, g snapshotGauges) {
 	p("dmwd_replica_dropped_total %d\n", g.replicaDropped)
 	p("dmwd_replica_accepted_total %d\n", m.replicaAccepted.Load())
 	p("dmwd_replica_reads_total %d\n", m.replicaReads.Load())
-	p("dmwd_wire_requests_total %d\n", m.wireRequests.Load())
-	p("dmwd_wire_errors_total %d\n", m.wireErrors.Load())
 	if g.journalEnabled {
 		p("dmwd_journal_enabled 1\n")
 		p("dmwd_journal_appends_total %d\n", g.journal.Appends)

@@ -778,10 +778,8 @@ type BatchItem struct {
 	// (those never get a job record).
 	Job *JobView `json:"job,omitempty"`
 	// Status is the HTTP status this item would have earned on a single
-	// submit (202/400/429/503) — what lets a gateway that coalesced
-	// independent single submits into this batch fan each item back with
-	// exactly the status, Retry-After, and admission price the item's
-	// own backend answer carried, never the batch envelope's.
+	// submit (202/400/429/503), so a batch client can tell each item's
+	// refusal apart from the batch envelope's 200.
 	Status int `json:"status,omitempty"`
 	// RetryAfterSec and Price carry the per-item refusal guidance for
 	// 429/503 items, derived from the same Rejection a single submit

@@ -133,7 +133,14 @@ func TestAdmissionRatioUnderSustainedOverload(t *testing.T) {
 		}
 		for _, id := range []string{"gold", "bronze"} {
 			seed++
-			_, err := s.Submit(tinyTenantSpec(id, seed))
+			// A 1 ms link delay makes each job outlast one loop
+			// iteration even when this loop is starved of CPU. The
+			// WDRR queue is work-conserving: without the delay the
+			// worker can drain gold's slots between iterations and
+			// then serve bronze, and the overload is not sustained.
+			spec := tinyTenantSpec(id, seed)
+			spec.LinkDelayMS = 1
+			_, err := s.Submit(spec)
 			switch {
 			case err == nil:
 				admitted[id]++

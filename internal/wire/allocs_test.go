@@ -81,53 +81,3 @@ func TestAllocBudgetDecode(t *testing.T) {
 		t.Errorf("DecodeMessage allocates %.1f/op, budget %.0f", avg, budget)
 	}
 }
-
-// TestAllocBudgetJobFrameEncode pins the frame fast path: the sizing
-// pass plus appender fill leaves exactly one buffer allocation per
-// frame, whatever the batch shape.
-func TestAllocBudgetJobFrameEncode(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts include race-detector instrumentation")
-	}
-	jobs := make([]Job, 32)
-	for i := range jobs {
-		jobs[i] = Job{ID: "job", Bids: [][]int{{1, 2, 3, 4}, {4, 3, 2, 1}}, W: []int{1, 2, 3, 4}, Tenant: "t", RequestID: "r"}
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := EncodeJobFrame(jobs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 1 {
-		t.Errorf("EncodeJobFrame: %.1f allocs/op, want 1 (the output buffer)", avg)
-	}
-}
-
-// TestAllocBudgetResultFrame pins the relay-path codec: re-encoding a
-// result frame into a retained (pooled) buffer allocates nothing, and
-// decoding allocates only the item slice plus one string copy per
-// ErrMsg — bodies alias the input.
-func TestAllocBudgetResultFrame(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts include race-detector instrumentation")
-	}
-	items := make([]ResultItem, 32)
-	for i := range items {
-		items[i] = ResultItem{Status: 202, Body: []byte(`{"id":"a","state":"queued","result":{"assignment":[0,1,2,3]}}`)}
-	}
-	buf := AppendResultFrame(nil, items)
-	avg := testing.AllocsPerRun(50, func() {
-		buf = AppendResultFrame(buf[:0], items)
-	})
-	if avg > 0 {
-		t.Errorf("AppendResultFrame into retained buffer: %.1f allocs/op, want 0", avg)
-	}
-	avg = testing.AllocsPerRun(50, func() {
-		if _, err := DecodeResultFrame(buf); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 1 {
-		t.Errorf("DecodeResultFrame: %.1f allocs/op, want 1 (the item slice)", avg)
-	}
-}
